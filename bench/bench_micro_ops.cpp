@@ -608,7 +608,7 @@ void emit_perf_json() {
         static_cast<double>(NB * Q) / pl8,
         static_cast<double>(NB * Q) / st8, st8 / pl8);
 
-    // Reduced-precision plan tiers at batch 8: a reconstruction-MSE
+    // The int8 plan tier at batch 8: a reconstruction-MSE
     // accuracy gate on the small_default model against a fixed-seed
     // synthetic target field (int8 must degrade MSE by < 1% relative),
     // then replay throughput vs the fp32 plan on a GEMM-bound wide
@@ -616,7 +616,7 @@ void emit_perf_json() {
     // model is the regime the quantized microkernels target: at
     // small_default's 32-wide decoder, replay is interpolation-bound
     // (the three GEMMs are a single-digit percent of replay time) and
-    // every tier tracks fp32 within noise. These lines carry a
+    // int8 tracks fp32 within noise. These lines carry a
     // "precision" field, so perf_diff tracks them as their own series —
     // the pinned fp32 decode_plan line identity above is untouched.
     {
@@ -648,56 +648,53 @@ void emit_perf_json() {
           core::PlanKey{1, NB, Q, lat8.dim(2), lat8.dim(3), lat8.dim(4)});
       MFN_CHECK(wplan_fp32 != nullptr, "wide decoder must be plannable");
       const Tensor wref8 = wplan_fp32->execute(lat8, coords8);
-      for (const backend::Precision prec :
-           {backend::Precision::kBf16, backend::Precision::kInt8}) {
-        // Accuracy gate on the real small_default reconstruction.
-        auto planp = core::DecodePlan::compile(
-            snap, core::PlanKey{1, NB, Q, lat8.dim(2), lat8.dim(3),
-                                lat8.dim(4), prec});
-        MFN_CHECK(planp != nullptr,
-                  "small_default decoder must be plannable at every tier");
-        const Tensor out = planp->execute(lat8, coords8);
-        const double mse = mse_vs_targets(out);
-        const double rel = std::abs(mse - mse_fp32) / mse_fp32;
-        std::printf(
-            "{\"mfn_perf\":\"accuracy\",\"precision\":\"%s\",\"batch\":%lld,"
-            "\"queries\":%lld,\"mse\":%.6g,\"rel_mse_vs_fp32\":%.3g}\n",
-            backend::precision_name(prec), static_cast<long long>(NB),
-            static_cast<long long>(Q), mse, rel);
-        MFN_CHECK(rel < 0.01,
-                  "reduced-precision decode degraded reconstruction MSE by "
-                      << rel * 100.0 << "% (tier "
-                      << backend::precision_name(prec)
-                      << ", gate is < 1% relative)");
-        // Throughput on the wide decoder, tier plan vs fp32 plan.
-        auto wplanp = core::DecodePlan::compile(
-            wsnap, core::PlanKey{1, NB, Q, lat8.dim(2), lat8.dim(3),
-                                 lat8.dim(4), prec});
-        MFN_CHECK(wplanp != nullptr,
-                  "wide decoder must be plannable at every tier");
-        const auto [f32, low] = interleaved_best(
-            [&] {
-              benchmark::DoNotOptimize(wplan_fp32->execute(lat8, coords8));
-            },
-            [&] {
-              benchmark::DoNotOptimize(wplanp->execute(lat8, coords8));
-            });
-        const Tensor wout = wplanp->execute(lat8, coords8);
-        double max_err = 0.0;
-        for (std::int64_t i = 0; i < wout.numel(); ++i)
-          max_err = std::max(
-              max_err, static_cast<double>(
-                           std::abs(wout.data()[i] - wref8.data()[i])));
-        std::printf(
-            "{\"mfn_perf\":\"decode_plan\",\"precision\":\"%s\","
-            "\"batch\":%lld,\"queries\":%lld,\"hidden\":384,\"threads\":%d,"
-            "\"qps\":%.0f,\"fp32_qps\":%.0f,\"speedup_vs_fp32\":%.2f,"
-            "\"max_abs_err_vs_fp32\":%.3g}\n",
-            backend::precision_name(prec), static_cast<long long>(NB),
-            static_cast<long long>(Q), threads,
-            static_cast<double>(NB * Q) / low,
-            static_cast<double>(NB * Q) / f32, f32 / low, max_err);
-      }
+      const backend::Precision prec = backend::Precision::kInt8;
+      // Accuracy gate on the real small_default reconstruction.
+      auto planp = core::DecodePlan::compile(
+          snap, core::PlanKey{1, NB, Q, lat8.dim(2), lat8.dim(3),
+                              lat8.dim(4), prec});
+      MFN_CHECK(planp != nullptr,
+                "small_default decoder must be plannable at int8");
+      const Tensor out = planp->execute(lat8, coords8);
+      const double mse = mse_vs_targets(out);
+      const double rel = std::abs(mse - mse_fp32) / mse_fp32;
+      std::printf(
+          "{\"mfn_perf\":\"accuracy\",\"precision\":\"%s\",\"batch\":%lld,"
+          "\"queries\":%lld,\"mse\":%.6g,\"rel_mse_vs_fp32\":%.3g}\n",
+          backend::precision_name(prec), static_cast<long long>(NB),
+          static_cast<long long>(Q), mse, rel);
+      MFN_CHECK(rel < 0.01,
+                "int8 decode degraded reconstruction MSE by "
+                    << rel * 100.0 << "% (tier "
+                    << backend::precision_name(prec)
+                    << ", gate is < 1% relative)");
+      // Throughput on the wide decoder, int8 plan vs fp32 plan.
+      auto wplanp = core::DecodePlan::compile(
+          wsnap, core::PlanKey{1, NB, Q, lat8.dim(2), lat8.dim(3),
+                               lat8.dim(4), prec});
+      MFN_CHECK(wplanp != nullptr, "wide decoder must be plannable at int8");
+      const auto [f32, low] = interleaved_best(
+          [&] {
+            benchmark::DoNotOptimize(wplan_fp32->execute(lat8, coords8));
+          },
+          [&] {
+            benchmark::DoNotOptimize(wplanp->execute(lat8, coords8));
+          });
+      const Tensor wout = wplanp->execute(lat8, coords8);
+      double max_err = 0.0;
+      for (std::int64_t i = 0; i < wout.numel(); ++i)
+        max_err = std::max(
+            max_err, static_cast<double>(
+                         std::abs(wout.data()[i] - wref8.data()[i])));
+      std::printf(
+          "{\"mfn_perf\":\"decode_plan\",\"precision\":\"%s\","
+          "\"batch\":%lld,\"queries\":%lld,\"hidden\":384,\"threads\":%d,"
+          "\"qps\":%.0f,\"fp32_qps\":%.0f,\"speedup_vs_fp32\":%.2f,"
+          "\"max_abs_err_vs_fp32\":%.3g}\n",
+          backend::precision_name(prec), static_cast<long long>(NB),
+          static_cast<long long>(Q), threads,
+          static_cast<double>(NB * Q) / low,
+          static_cast<double>(NB * Q) / f32, f32 / low, max_err);
     }
   }
   {
@@ -895,12 +892,12 @@ void emit_perf_json() {
           best.hit_rate, best.p99_ms, direct_qps, best.qps / direct_qps);
     }
 
-    // Reduced-precision serving at the 16-client coalescing point. Every
-    // request asks for the tier; the line reports which tier actually
-    // served (fallbacks are counted, never silent) plus the measured
-    // worst-case deviation vs fp32 responses on the same patches/coords.
-    for (const backend::Precision prec :
-         {backend::Precision::kBf16, backend::Precision::kInt8}) {
+    // int8 serving at the 16-client coalescing point. Every request asks
+    // for the tier; the line reports which tier actually served (fallbacks
+    // are counted, never silent) plus the measured worst-case deviation vs
+    // fp32 responses on the same patches/coords.
+    {
+      const backend::Precision prec = backend::Precision::kInt8;
       Rng rng(52);
       core::MFNConfig cfg = core::MFNConfig::small_default();
       auto model = std::make_unique<core::MeshfreeFlowNet>(cfg, rng);

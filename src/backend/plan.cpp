@@ -14,10 +14,6 @@ void plan_exec_step(const PlanStep& step, std::int64_t rows, float* arena) {
     case PlanKernel::kActivation:
       step.act_fn(arena + step.out, rows * step.n);
       return;
-    case PlanKernel::kGemmBf16:
-      sgemm_bf16_prepacked_nt(rows, step.n, step.k, arena + step.in,
-                              step.packed_b16, step.bias, arena + step.out);
-      return;
     case PlanKernel::kQuantizeRows:
       quantize_rows_i16(rows, step.n, arena + step.in,
                         reinterpret_cast<std::int16_t*>(arena + step.out),

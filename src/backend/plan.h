@@ -10,9 +10,8 @@
 // PreparedSnapshot) or an arena offset fixed at compile time.
 //
 // The PlanKernel tag + the prepacked weight pointers are the seam the
-// quantized weight tiers (int8/bf16 panels) plug into: a new tag with its
-// own packed format slots into plan_exec_step without touching the
-// compiler's shape logic.
+// int8 weight tier plugs into: a tag with its own packed format slots into
+// plan_exec_step without touching the compiler's shape logic.
 #pragma once
 
 #include <cstdint>
@@ -23,14 +22,13 @@
 namespace mfn::backend {
 
 /// Decode precision tier. fp32 is the bitwise-pinned tape-parity path;
-/// bf16/int8 execute the reduced-precision prepacked kernels (sgemm.h)
-/// within their documented error bounds.
-enum class Precision : std::uint8_t { kFp32, kBf16, kInt8 };
+/// int8 executes the quantized prepacked kernels (sgemm.h) within its
+/// documented error bound.
+enum class Precision : std::uint8_t { kFp32, kInt8 };
 
 inline const char* precision_name(Precision p) {
   switch (p) {
     case Precision::kFp32: return "fp32";
-    case Precision::kBf16: return "bf16";
     case Precision::kInt8: return "int8";
   }
   return "?";
@@ -43,9 +41,6 @@ enum class PlanKernel : std::uint8_t {
   kGemmPrepacked,
   /// In-place activation over arena[out][0 : rows * n] via `act_fn`.
   kActivation,
-  /// arena[out](rows, n) = arena[in](rows, k) . W^T + bias against bf16
-  /// panels in `packed_b16` (fp32 accumulate).
-  kGemmBf16,
   /// Quantize arena[in](rows, n) per-row to int16-widened int8 at
   /// arena[out] (viewed as int16; rows padded to even n) with the fp32
   /// row scales at arena[aux].
@@ -67,11 +62,10 @@ struct PlanStep {
   const float* packed = nullptr;   // prepacked panels (gemm only)
   const float* bias = nullptr;     // n-entry column bias (gemm; may be null)
   void (*act_fn)(float*, std::int64_t) = nullptr;  // activation only
-  // Reduced-precision operands (quantized tiers only).
-  const std::uint16_t* packed_b16 = nullptr;  // bf16 panels
-  const std::int16_t* packed_s8 = nullptr;    // int8 pair-interleaved panels
-  const std::int8_t* dense_s8 = nullptr;      // dense (n, k) int8 weights
-  const float* col_scale = nullptr;           // int8 per-column dequant
+  // int8 tier operands.
+  const std::int16_t* packed_s8 = nullptr;  // pair-interleaved panels
+  const std::int8_t* dense_s8 = nullptr;    // dense (n, k) int8 weights
+  const float* col_scale = nullptr;         // per-column dequant
   std::int64_t aux = 0;  // arena float offset of the row-scale block
   FusedAct fact = FusedAct::kNone;  // int8 fused epilogue activation
 };

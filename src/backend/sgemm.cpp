@@ -428,12 +428,19 @@ inline void fma_tile(std::int64_t kc, const float* ap, LoadB&& loadb,
   (void)c60, (void)c61, (void)c70, (void)c71;
 }
 
+// The two fp32 SIMD microkernels below are pinned to 64-byte starts.
+// Their FMA loops run fast or slow depending on where they fall relative
+// to the front end's 32/64-byte fetch windows: at the default 16-byte
+// alignment, deleting unrelated code earlier in this file once shifted
+// them and cost super-resolution ~10% (4-core avx512 Xeon). Pinned, their
+// loop layout no longer depends on the code around them.
+
 // Explicit-FMA microkernel over packed panels: per k step, one broadcast
 // per A row against two B vector loads, kMR x 2 independent FMA chains —
 // enough to cover FMA latency on every tier without spilling.
-void micro_kernel_simd(std::int64_t kc, const float* ap, const float* bp,
-                       float* c, std::int64_t ldc, int mr, int nr, float beta,
-                       const TileEp& ep) {
+__attribute__((aligned(64))) void micro_kernel_simd(
+    std::int64_t kc, const float* ap, const float* bp, float* c,
+    std::int64_t ldc, int mr, int nr, float beta, const TileEp& ep) {
   alignas(64) float buf[kMR * kNR];
   fma_tile(kc, ap,
            [bp](std::int64_t k, sv::VF& b0, sv::VF& b1) {
@@ -447,10 +454,9 @@ void micro_kernel_simd(std::int64_t kc, const float* ap, const float* bp,
 // Explicit-FMA direct-B microkernel. The full-width case streams two
 // unaligned loads per B row; the ragged case masks the tail load so the
 // kernel never reads past row end.
-void micro_kernel_direct_b_simd(std::int64_t K, const float* ap,
-                                const float* b, std::int64_t ldb, float* c,
-                                std::int64_t ldc, int mr, int nr, float beta,
-                                const TileEp& ep) {
+__attribute__((aligned(64))) void micro_kernel_direct_b_simd(
+    std::int64_t K, const float* ap, const float* b, std::int64_t ldb,
+    float* c, std::int64_t ldc, int mr, int nr, float beta, const TileEp& ep) {
   alignas(64) float buf[kMR * kNR];
   if (nr == kNR) {
     fma_tile(K, ap,
@@ -937,24 +943,8 @@ void sgemm_prepacked_nt(std::int64_t M, std::int64_t N, std::int64_t K,
       });
 }
 
-// --------------------------------------- reduced-precision tiers (impl) --
+// ------------------------------------------------------ int8 tier (impl) --
 namespace {
-
-// fp32 -> bf16 with round-to-nearest-even (the "+0x7FFF + odd bit" trick);
-// bf16 -> fp32 is a lossless shift back into the high half.
-inline std::uint16_t float_to_bf16(float f) {
-  std::uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  u += 0x7FFFu + ((u >> 16) & 1u);
-  return static_cast<std::uint16_t>(u >> 16);
-}
-
-inline float bf16_to_float(std::uint16_t h) {
-  const std::uint32_t u = static_cast<std::uint32_t>(h) << 16;
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return f;
-}
 
 inline std::int64_t pad_even(std::int64_t k) { return (k + 1) & ~std::int64_t{1}; }
 
@@ -994,102 +984,6 @@ inline float fused_act_s(FusedAct act, float t) {
   if (act == FusedAct::kNone) return t;
   return lane0(fused_act_v(act, simd::vset1(t)));
 }
-
-// ---- bf16 ----
-
-// Lockstep skinny-N kernel over the bf16 panel, mirroring
-// skinny_prepacked_cols: serial-k fmaf chains, widened B on the fly. Used
-// by BOTH the scalar and vector drivers at N <= 4 (the decoder's output
-// layer) — at these widths the lockstep walk beats a masked vector tile
-// and keeps the two paths bitwise identical there.
-template <int TN>
-void skinny_bf16_cols(std::int64_t M, std::int64_t K, const float* A,
-                      const std::uint16_t* Bp, const float* col_bias,
-                      float* C) {
-  for (std::int64_t i = 0; i < M; ++i) {
-    const float* arow = A + i * K;
-    float acc[TN];
-    for (int j = 0; j < TN; ++j) acc[j] = 0.0f;
-    const std::uint16_t* bp = Bp;
-    for (std::int64_t k = 0; k < K; ++k, bp += kNR) {
-      const float a = arow[k];
-      for (int j = 0; j < TN; ++j)
-        acc[j] = std::fmaf(a, bf16_to_float(bp[j]), acc[j]);
-    }
-    float* crow = C + i * TN;
-    for (int j = 0; j < TN; ++j)
-      crow[j] = col_bias ? acc[j] + col_bias[j] : acc[j];
-  }
-}
-
-void skinny_bf16_dispatch(std::int64_t M, std::int64_t N, std::int64_t K,
-                          const float* A, const std::uint16_t* Bp,
-                          const float* col_bias, float* C) {
-  switch (N) {
-    case 1: skinny_bf16_cols<1>(M, K, A, Bp, col_bias, C); break;
-    case 2: skinny_bf16_cols<2>(M, K, A, Bp, col_bias, C); break;
-    case 3: skinny_bf16_cols<3>(M, K, A, Bp, col_bias, C); break;
-    default: skinny_bf16_cols<4>(M, K, A, Bp, col_bias, C); break;
-  }
-}
-
-// Scalar-oracle bf16 microkernel over packed A / bf16 B panels. fmaf pins
-// each accumulation chain to the same per-lane order as the fused vector
-// tiers (bitwise on avx512/avx2; sse2's unfused vfma differs by one
-// rounding, covered by the parity tolerance).
-void micro_kernel_bf16_scalar(std::int64_t kc, const float* ap,
-                              const std::uint16_t* bp, float* c,
-                              std::int64_t ldc, int mr, int nr, float beta,
-                              const TileEp& ep) {
-  float acc[kMR * kNR];
-  for (int x = 0; x < kMR * kNR; ++x) acc[x] = 0.0f;
-  for (std::int64_t k = 0; k < kc; ++k) {
-    const float* a = ap + k * kMR;
-    const std::uint16_t* b = bp + k * kNR;
-    for (int i = 0; i < kMR; ++i) {
-      const float ai = a[i];
-      for (int j = 0; j < kNR; ++j)
-        acc[i * kNR + j] = std::fmaf(ai, bf16_to_float(b[j]), acc[i * kNR + j]);
-    }
-  }
-  write_tile<kMR, kNR>(acc, c, ldc, mr, nr, beta, ep);
-}
-
-#if MFN_SIMD_HAS_VECTOR
-
-// fma_tile with the B loads widening bf16 panels — the only change from
-// micro_kernel_simd is the loadb seam, so the accumulation order (and the
-// register tiling) is identical to the fp32 kernel.
-void micro_kernel_bf16_simd(std::int64_t kc, const float* ap,
-                            const std::uint16_t* bp, float* c,
-                            std::int64_t ldc, int mr, int nr, float beta,
-                            const TileEp& ep) {
-  alignas(64) float buf[kMR * kNR];
-  fma_tile(kc, ap,
-           [bp](std::int64_t k, sv::VF& b0, sv::VF& b1) {
-             b0 = sv::vload_bf16(bp + k * kNR);
-             b1 = sv::vload_bf16(bp + k * kNR + sv::kWidth);
-           },
-           buf);
-  write_tile_simd(buf, c, ldc, mr, nr, beta, ep);
-}
-
-#endif  // MFN_SIMD_HAS_VECTOR
-
-inline void micro_kernel_bf16(std::int64_t kc, const float* ap,
-                              const std::uint16_t* bp, float* c,
-                              std::int64_t ldc, int mr, int nr, float beta,
-                              const TileEp& ep) {
-#if MFN_SIMD_HAS_VECTOR
-  if (simd::enabled()) {
-    micro_kernel_bf16_simd(kc, ap, bp, c, ldc, mr, nr, beta, ep);
-    return;
-  }
-#endif
-  micro_kernel_bf16_scalar(kc, ap, bp, c, ldc, mr, nr, beta, ep);
-}
-
-// ---- int8 ----
 
 // Scalar int8 kernel over the dense (N, K) weights. The integer dot is
 // order-exact, and the dequant epilogue mirrors the vector path's float op
@@ -1254,77 +1148,6 @@ void int8_rows_simd(std::int64_t rows, std::int64_t N, std::int64_t K,
 #endif  // MFN_SIMD_HAS_VECTOR
 
 }  // namespace
-
-std::size_t sgemm_prepack_b_bf16_elems(std::int64_t K, std::int64_t N) {
-  return sgemm_prepack_b_floats(K, N);
-}
-
-void sgemm_prepack_b_bf16(Trans transb, std::int64_t K, std::int64_t N,
-                          const float* B, std::uint16_t* Bp) {
-  MFN_CHECK(K >= 1 && K <= sgemm_prepacked_max_k() && N >= 1,
-            "sgemm_prepack_b_bf16 operand outside panel range");
-  const StrideA sb = strides_b(transb, K, N);
-  const std::int64_t npanels = (N + kNR - 1) / kNR;
-  for (std::int64_t p = 0; p < npanels; ++p) {
-    const std::int64_t j0 = p * kNR;
-    const std::int64_t cols = std::min<std::int64_t>(kNR, N - j0);
-    std::uint16_t* dst = Bp + p * K * kNR;
-    for (std::int64_t k = 0; k < K; ++k) {
-      const float* src = B + k * sb.rs + j0 * sb.cs;
-      for (std::int64_t c = 0; c < cols; ++c)
-        dst[k * kNR + c] = float_to_bf16(src[c * sb.cs]);
-      for (std::int64_t c = cols; c < kNR; ++c) dst[k * kNR + c] = 0;
-    }
-  }
-}
-
-void sgemm_bf16_prepacked_nt(std::int64_t M, std::int64_t N, std::int64_t K,
-                             const float* A, const std::uint16_t* Bp,
-                             const float* col_bias, float* C) {
-  MFN_CHECK(M >= 0 && N >= 0, "sgemm_bf16_prepacked_nt negative dims");
-  MFN_CHECK(K >= 1 && K <= sgemm_prepacked_max_k(),
-            "sgemm_bf16_prepacked_nt K outside single-block panel range");
-  if (M == 0 || N == 0) return;
-  const StrideA sa{K, 1};
-  if (N <= 4) {
-    const std::int64_t grain = std::max<std::int64_t>(
-        1, kSmallFlops / std::max<std::int64_t>(N * K, 1));
-    parallel_for(
-        M,
-        [&](std::int64_t i0, std::int64_t i1) {
-          skinny_bf16_dispatch(i1 - i0, N, K, A + i0 * K, Bp, col_bias,
-                               C + i0 * N);
-        },
-        grain);
-    return;
-  }
-  Epilogue ep;
-  ep.col_bias = col_bias;
-  parallel_for_2d(
-      M, N, kMC, kNC,
-      [&](std::int64_t i0, std::int64_t i1, std::int64_t j0,
-          std::int64_t j1) {
-        Workspace& wsl = local_workspace();
-        const Workspace::Mark m = wsl.mark();
-        const std::int64_t mc = i1 - i0;
-        const std::int64_t ma_panels = (mc + kMR - 1) / kMR;
-        float* Ap = wsl.alloc(static_cast<std::size_t>(ma_panels * K * kMR));
-        pack_a<kMR>(A, sa, i0, mc, 0, K, 1.0f, Ap);
-        for (std::int64_t j = j0; j < j1; j += kNR) {
-          const std::uint16_t* bp = Bp + (j / kNR) * K * kNR;
-          const int nr =
-              static_cast<int>(std::min<std::int64_t>(kNR, N - j));
-          for (std::int64_t i = i0; i < i1; i += kMR) {
-            const float* ap = Ap + ((i - i0) / kMR) * K * kMR;
-            const int mr =
-                static_cast<int>(std::min<std::int64_t>(kMR, M - i));
-            micro_kernel_bf16(K, ap, bp, C + i * N + j, N, mr, nr, 0.0f,
-                              tile_ep(ep, i, j));
-          }
-        }
-        wsl.release(m);
-      });
-}
 
 std::size_t sgemm_prepack_b_int8_elems(std::int64_t K, std::int64_t N) {
   const std::int64_t npanels = (N + kNR - 1) / kNR;

@@ -126,45 +126,25 @@ void sgemm_prepacked_nt(std::int64_t M, std::int64_t N, std::int64_t K,
                         const float* A, const float* Bdense,
                         const float* Bp, const float* col_bias, float* C);
 
-// ------------------------------------- reduced-precision prepacked tiers --
-// Two lower-precision weight formats behind the same prepacked seam, for
+// ------------------------------------------------- int8 prepacked tier --
+// A lower-precision weight format behind the same prepacked seam, for
 // serve-time decode plans where the weights are frozen between hot-swaps:
+// per-output-column symmetric int8 weights (fp32 scale per column, packed
+// once), per-input-row dynamic symmetric int8 activations (quantized at
+// replay time), exact int32 accumulation, fused dequant + bias +
+// activation epilogue.
 //
-//   bf16  — weights truncated (round-to-nearest-even) to bfloat16 panels,
-//           widened back to fp32 on load, fp32 FMA accumulation. Halves
-//           weight-panel bandwidth; per-weight relative error <= 2^-8.
-//   int8  — per-output-column symmetric int8 weights (fp32 scale per
-//           column, packed once), per-input-row dynamic symmetric int8
-//           activations (quantized at replay time), exact int32
-//           accumulation, fused dequant + bias + activation epilogue.
-//
-// Neither tier mirrors the fp32 small/skinny dense dispatch: there is no
-// bitwise-vs-fp32 contract here, only the documented error bounds. Both
-// are deterministic: for a fixed build and tier the result is bitwise
-// reproducible across thread counts (per-row/-tile accumulation order is
-// fixed), and the int8 tier is additionally bitwise identical between its
-// SIMD and forced-scalar paths (integer accumulation is order-exact and
-// the dequant epilogue mirrors the same float op order).
+// The tier does not mirror the fp32 small/skinny dense dispatch: there is
+// no bitwise-vs-fp32 contract here, only the documented error bound. It is
+// deterministic: for a fixed build the result is bitwise reproducible
+// across thread counts (per-row/-tile accumulation order is fixed) and
+// bitwise identical between the SIMD and forced-scalar paths (integer
+// accumulation is order-exact and the dequant epilogue mirrors the same
+// float op order).
 
-/// Activation fused into the reduced-precision epilogues. kTanh/kSoftplus
-/// evaluate the shared simd::v_* polynomials on both paths.
+/// Activation fused into the int8 epilogue. kTanh/kSoftplus evaluate the
+/// shared simd::v_* polynomials on both paths.
 enum class FusedAct : std::uint8_t { kNone, kRelu, kTanh, kSoftplus };
-
-/// uint16 elements required for the bf16 panel prepack of op(B) (K x N).
-std::size_t sgemm_prepack_b_bf16_elems(std::int64_t K, std::int64_t N);
-
-/// Pack op(B)[0:K, 0:N] into bf16 panels at `Bp` (same panel geometry as
-/// sgemm_prepack_b, elements truncated to bf16 with round-to-nearest-even).
-/// B is (K,N) when transb == kNo, (N,K) when kYes. Requires K in
-/// [1, sgemm_prepacked_max_k()].
-void sgemm_prepack_b_bf16(Trans transb, std::int64_t K, std::int64_t N,
-                          const float* B, std::uint16_t* Bp);
-
-/// C(M,N) = act-free A . op(B) + col_bias[j] against bf16 panels.
-/// A is dense row-major (M, K); `col_bias` may be null.
-void sgemm_bf16_prepacked_nt(std::int64_t M, std::int64_t N, std::int64_t K,
-                             const float* A, const std::uint16_t* Bp,
-                             const float* col_bias, float* C);
 
 /// int16 elements required for the int8 pair-interleaved panel prepack of
 /// op(B) (K x N). (Weights are int8-valued but stored widened to int16 so

@@ -197,19 +197,6 @@ inline float vhmax(VF a) {
   return m;
 }
 
-/// Load kWidth bf16 values (fp32 truncated to the upper 16 mantissa/exp
-/// bits) and widen to fp32: zero-extend to 32 bits, shift into the high
-/// half. Exact — bf16 -> fp32 is lossless.
-inline VF vload_bf16(const std::uint16_t* p) {
-  // maskz_ form: the plain cvtepu16 intrinsic trips GCC 12's
-  // -Wmaybe-uninitialized via _mm512_undefined_epi32 (PR105593).
-  const __m512i w = _mm512_maskz_cvtepu16_epi32(
-      static_cast<__mmask16>(0xFFFF),
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
-  return {_mm512_castsi512_ps(
-      _mm512_maskz_slli_epi32(static_cast<__mmask16>(0xFFFF), w, 16))};
-}
-
 /// Load a full register of int16 pairs (2 * kWidth int16 values, each
 /// int32 lane holding a [lo, hi] pair) for the int8/int16 dot kernels.
 inline VI vi_load16(const std::int16_t* p) {
@@ -241,8 +228,9 @@ inline VI vi_madd16_acc(VI acc, VI a, VI b) {
 }
 
 /// Narrowing store of the kWidth int32 lanes as int16 (exact for the int8
-/// tier's |q| <= 127 quantized values). maskz_ form for the same GCC 12
-/// -Wmaybe-uninitialized reason as vload_bf16 (PR105593).
+/// tier's |q| <= 127 quantized values). maskz_ form: the plain
+/// cvtepi32_epi16 intrinsic trips GCC 12's -Wmaybe-uninitialized via
+/// _mm256_undefined_si256 (PR105593).
 inline void vi_store16(std::int16_t* p, VI a) {
   _mm256_storeu_si256(
       reinterpret_cast<__m256i*>(p),
@@ -348,13 +336,6 @@ inline float vhmax(VF a) {
   s = _mm_max_ps(s, _mm_movehl_ps(s, s));
   s = _mm_max_ss(s, _mm_shuffle_ps(s, s, 1));
   return _mm_cvtss_f32(s);
-}
-
-/// Load kWidth bf16 values and widen to fp32 (exact).
-inline VF vload_bf16(const std::uint16_t* p) {
-  const __m256i w = _mm256_cvtepu16_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-  return {_mm256_castsi256_ps(_mm256_slli_epi32(w, 16))};
 }
 
 /// Load a full register of int16 pairs (2 * kWidth int16 values).
@@ -468,14 +449,6 @@ inline float vhmax(VF a) {
   return _mm_cvtss_f32(s);
 }
 
-/// Load kWidth bf16 values and widen to fp32 (exact): interleave a zero
-/// low half under each 16-bit pattern.
-inline VF vload_bf16(const std::uint16_t* p) {
-  const __m128i w =
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  return {_mm_castsi128_ps(_mm_unpacklo_epi16(_mm_setzero_si128(), w))};
-}
-
 /// Load a full register of int16 pairs (2 * kWidth int16 values).
 inline VI vi_load16(const std::int16_t* p) {
   return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
@@ -568,14 +541,6 @@ inline VI vcasti(VF a) {
 
 inline float vhsum(VF a) { return a.v; }
 inline float vhmax(VF a) { return a.v; }
-
-/// Load one bf16 value and widen to fp32 (exact).
-inline VF vload_bf16(const std::uint16_t* p) {
-  const std::uint32_t u = static_cast<std::uint32_t>(*p) << 16;
-  float f;
-  std::memcpy(&f, &u, sizeof(f));
-  return {f};
-}
 
 /// Load one int16 pair into the single int32 lane (bitwise, like the
 /// vector tiers: lane = lo16 | hi16 << 16 on little-endian).

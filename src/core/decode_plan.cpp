@@ -75,13 +75,8 @@ std::shared_ptr<const PreparedSnapshot> PreparedSnapshot::prepare(
           backend::sgemm_prepack_b_floats(layer.in, layer.out));
       backend::sgemm_prepack_b(backend::Trans::kYes, layer.in, layer.out,
                                layer.weight.data(), layer.packed.data());
-      // Reduced-precision prepacks for the bf16/int8 plan tiers, built
-      // once here so replay pays zero quantization cost on the weights.
-      layer.packed_bf16.resize(
-          backend::sgemm_prepack_b_bf16_elems(layer.in, layer.out));
-      backend::sgemm_prepack_b_bf16(backend::Trans::kYes, layer.in,
-                                    layer.out, layer.weight.data(),
-                                    layer.packed_bf16.data());
+      // The int8 tier's prepack, built once here so replay pays zero
+      // quantization cost on the weights.
       layer.packed_i8.resize(
           backend::sgemm_prepack_b_int8_elems(layer.in, layer.out));
       layer.w8.resize(static_cast<std::size_t>(layer.out * layer.in));
@@ -176,17 +171,11 @@ std::shared_ptr<const DecodePlan> DecodePlan::compile(
     const auto& layer = layers[li];
     const bool last = li + 1 == layers.size();
     switch (key.precision) {
-      case backend::Precision::kFp32:
-      case backend::Precision::kBf16: {
+      case backend::Precision::kFp32: {
         backend::PlanStep gemm;
-        if (key.precision == backend::Precision::kFp32) {
-          gemm.kernel = backend::PlanKernel::kGemmPrepacked;
-          gemm.weights = layer.weight.data();
-          gemm.packed = layer.packed.data();
-        } else {
-          gemm.kernel = backend::PlanKernel::kGemmBf16;
-          gemm.packed_b16 = layer.packed_bf16.data();
-        }
+        gemm.kernel = backend::PlanKernel::kGemmPrepacked;
+        gemm.weights = layer.weight.data();
+        gemm.packed = layer.packed.data();
         gemm.in = cur;
         gemm.out = nxt;
         gemm.n = layer.out;

@@ -26,10 +26,10 @@
 //    identical to ContinuousDecoder::decode's streamed no-grad path at
 //    every thread count (same global 256-query blocking, same kernels,
 //    same accumulation order). Plans compile per Precision tier: fp32
-//    keeps that bitwise pin; bf16/int8 replay the reduced-precision
-//    prepacked kernels (backend/sgemm.h) — still bitwise reproducible
-//    across thread counts, but vs the tape only within documented error
-//    bounds.
+//    keeps that bitwise pin; int8 replays the quantized prepacked
+//    kernels (backend/sgemm.h) — still bitwise reproducible across
+//    thread counts, but vs the tape only within its documented error
+//    bound.
 //
 // execute_derivatives() covers predict_with_derivatives the same way with
 // a fused forward-mode (value, tangent, curvature) stream — no tape, no
@@ -40,8 +40,7 @@
 // Shapes the compiler cannot lower (a decoder layer wider than the
 // prepacked panel range) return nullptr from compile(); callers fall back
 // to the tape path. The PreparedSnapshot layer format plus the
-// backend::PlanKernel tag is the seam the quantized weight tiers plug
-// into.
+// backend::PlanKernel tag is the seam the int8 weight tier plugs into.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +66,9 @@ class PreparedSnapshot {
     std::vector<float> weight;  // dense (out, in) clone
     std::vector<float> bias;    // out entries; empty when the layer has none
     std::vector<float> packed;  // sgemm_prepack_b panels (empty if too wide)
-    // Reduced-precision prepacks (empty when the layer is too wide, like
-    // `packed`): bf16 panels, int8 pair-interleaved panels + dense int8
-    // weights + per-output-column fp32 dequant scales.
-    std::vector<std::uint16_t> packed_bf16;
+    // int8 prepacks (empty when the layer is too wide, like `packed`):
+    // pair-interleaved panels + dense int8 weights + per-output-column
+    // fp32 dequant scales.
     std::vector<std::int16_t> packed_i8;
     std::vector<std::int8_t> w8;
     std::vector<float> scales;
@@ -138,8 +136,8 @@ class DecodePlan {
   /// (N, C, LT, LZ, LX) matching the key; `query_coords` is (B, 3) or
   /// (N, Q, 3) with B == N*Q rows either way. fp32 plans are bitwise
   /// identical to the streamed tape decode at every MFN_NUM_THREADS;
-  /// bf16/int8 plans are thread-count-invariant but match the tape only
-  /// within their tier's error bound.
+  /// int8 plans are thread-count-invariant but match the tape only within
+  /// the tier's error bound.
   Tensor execute(const Tensor& latent, const Tensor& query_coords) const;
 
   /// Replay with exact forward-mode coordinate derivatives (the

@@ -18,15 +18,17 @@ std::chrono::microseconds est_us(double row_ms, std::int64_t rows) {
       static_cast<std::int64_t>(row_ms * 1e3 * static_cast<double>(rows)));
 }
 
-/// The brownout ladder: level 0 serves what was asked, level 1 caps the
-/// tier at bf16, level 2 at int8. Reduced-tier requests are never
-/// *upgraded* — a client that asked for int8 gets int8 at every level.
+/// The brownout ladder: level 0 serves what was asked, level 1 serves
+/// int8.
 backend::Precision brownout_tier(backend::Precision requested, int level) {
-  if (level <= 0) return requested;
-  if (level == 1)
-    return requested == backend::Precision::kFp32 ? backend::Precision::kBf16
-                                                  : requested;
-  return backend::Precision::kInt8;
+  return level <= 0 ? requested : backend::Precision::kInt8;
+}
+
+/// True when `snap` can replay a DecodePlan; otherwise every decode runs
+/// on the fp32 tape whatever tier was asked.
+bool can_plan(const ModelSnapshot& snap) {
+  return snap.plans != nullptr && snap.prepared != nullptr &&
+         snap.prepared->plannable();
 }
 
 }  // namespace
@@ -216,7 +218,7 @@ void QueryBatcher::update_brownout_locked(std::int64_t depth_rows) {
   const bool wait_high = b.high_wait_ms > 0 && wait_ewma_ms_ >= b.high_wait_ms;
   const bool depth_low = b.high_rows == 0 || depth_rows <= b.low_rows;
   const bool wait_low = b.high_wait_ms == 0 || wait_ewma_ms_ <= b.low_wait_ms;
-  if ((depth_high || wait_high) && brownout_level_ < 2) {
+  if ((depth_high || wait_high) && brownout_level_ < 1) {
     ++brownout_level_;
     ++stats_.brownout_enters;
     flushes_since_level_change_ = 0;
@@ -317,6 +319,9 @@ std::int64_t QueryBatcher::take_batch_locked(std::vector<Request>* batch,
     update_brownout_locked(depth_rows);
     if (brownout_level_ > 0) {
       for (Request& r : *batch) {
+        // Lowering a request the tape will serve fp32 anyway would count
+        // a degradation (and a fallback) that never happened.
+        if (!can_plan(*r.snapshot)) continue;
         const backend::Precision eff =
             brownout_tier(r.precision, brownout_level_);
         if (eff != r.precision) {
@@ -449,7 +454,7 @@ std::vector<std::vector<std::size_t>> QueryBatcher::plan_decode_units(
 // One unit's decode. Prefers replaying a cached DecodePlan at the
 // requested precision — zero graph traversal / dispatch / allocation /
 // weight packing; fp32 plans are bitwise identical to the streamed tape
-// decode, bf16/int8 within their tier's error bound — and falls back to
+// decode, int8 within its tier's error bound — and falls back to
 // the fp32 tape path when the snapshot carries no prepared weights or the
 // shape does not compile. *served reports the tier that actually ran, so
 // reduced-tier fallback is never silent.
@@ -462,8 +467,7 @@ Tensor QueryBatcher::decode_unit(const ModelSnapshot& snap,
   if (auto f = failpoint::poll("serve.slow_decode"))
     std::this_thread::sleep_for(std::chrono::microseconds(
         static_cast<std::int64_t>(f->arg * 1e3)));
-  if (snap.plans != nullptr && snap.prepared != nullptr &&
-      snap.prepared->plannable()) {
+  if (can_plan(snap)) {
     std::int64_t n = 1, q = 0;
     if (coords.ndim() == 2) {
       q = coords.dim(0);
@@ -590,7 +594,6 @@ void QueryBatcher::account_decode(std::chrono::steady_clock::time_point t0,
     ++stats_.planned_decodes;
   else
     ++stats_.tape_decodes;
-  if (served == backend::Precision::kBf16) ++stats_.planned_bf16;
   if (served == backend::Precision::kInt8) ++stats_.planned_int8;
   if (requested != backend::Precision::kFp32 && served != requested)
     ++stats_.precision_fallbacks;

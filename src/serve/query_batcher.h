@@ -26,12 +26,13 @@
 //    newest traffic is the most likely to still meet its deadline). Every
 //    policy decision is counted in Stats.
 //  - precision brownout: when queue depth or the observed queue-wait EWMA
-//    crosses its high watermark, drained requests are downgraded
-//    fp32 -> bf16 -> int8 through the prepacked-plan precision tiers (one
-//    level per dwell window, with hysteresis: recovery needs the signals
-//    below the low watermarks). Degradation is visible in
-//    Stats::degraded_units / degraded_requests and in per-response tiers,
-//    never silent.
+//    crosses its high watermark, drained fp32 requests are downgraded to
+//    the int8 prepacked-plan tier (a single level, changed at most once
+//    per dwell window, with hysteresis: recovery needs the signals below
+//    the low watermarks). Requests whose snapshot cannot run a plan are
+//    never downgraded — the tape would serve them fp32 anyway.
+//    Degradation is visible in Stats::degraded_units / degraded_requests
+//    and in per-response tiers, never silent.
 //  - fair share across tenants: requests queue into per-tenant sub-queues
 //    and a flush drains them surplus-round-robin — each tenant's turn
 //    recharges a row credit of fair_quantum_rows * weight, service spends
@@ -144,7 +145,7 @@ inline const char* admission_policy_name(AdmissionPolicy p) {
 /// fully idle batcher holds its level until traffic resumes).
 struct BrownoutConfig {
   bool enabled = false;
-  /// Enter (one level deeper) when queued rows reach high_rows; eligible
+  /// Enter the degraded level when queued rows reach high_rows; eligible
   /// to exit when back at or below low_rows.
   std::int64_t high_rows = 0;
   std::int64_t low_rows = 0;
@@ -157,7 +158,7 @@ struct BrownoutConfig {
   double high_wait_ms = 0.0;
   double low_wait_ms = 0.0;
   /// Minimum flushes between level changes (hysteresis dwell: one burst
-  /// cannot slam the ladder to int8 and back within a window).
+  /// cannot flip the ladder to int8 and back within a window).
   int dwell_flushes = 4;
 };
 
@@ -196,7 +197,6 @@ class QueryBatcher {
     std::uint64_t decode_calls = 0;   ///< decoder invocations (groups)
     std::uint64_t planned_decodes = 0;  ///< units served by plan replay
     std::uint64_t tape_decodes = 0;     ///< units on the tape fallback
-    std::uint64_t planned_bf16 = 0;     ///< planned units on the bf16 tier
     std::uint64_t planned_int8 = 0;     ///< planned units on the int8 tier
     /// Units that requested a reduced tier but were served fp32 (shape
     /// unplannable at that tier, or no prepared weights). Fallback is
@@ -216,8 +216,8 @@ class QueryBatcher {
                                        ///< member
     std::uint64_t brownout_enters = 0;  ///< upward level steps
     std::uint64_t brownout_exits = 0;   ///< downward level steps
-    int brownout_level = 0;  ///< current ladder level (0 fp32 / 1 bf16 /
-                             ///< 2 int8)
+    int brownout_level = 0;  ///< current ladder level (0 as requested /
+                             ///< 1 int8)
     std::int64_t queue_rows = 0;  ///< queued rows at stats() time
     /// Per-tenant slice of the global counters above (fair-share
     /// accounting: who submitted, who was shed, who got degraded). Keyed

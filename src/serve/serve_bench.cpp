@@ -410,7 +410,6 @@ ServeBenchResult run_serve_bench(InferenceEngine& engine,
                            static_cast<double>(lookups);
 
   res.precision = cfg.precision;
-  res.window_bf16_units = res.batcher.planned_bf16 - batcher0.planned_bf16;
   res.window_int8_units = res.batcher.planned_int8 - batcher0.planned_int8;
   res.window_precision_fallbacks =
       res.batcher.precision_fallbacks - batcher0.precision_fallbacks;

@@ -105,10 +105,10 @@ struct ServeBenchResult {
   std::uint64_t window_plan_hits = 0, window_plan_misses = 0;
   double plan_hit_rate = 0.0;
   /// The tier requested and how the window's decode units were actually
-  /// served: bf16/int8 plan units vs fp32 fallbacks of reduced-tier
-  /// requests (fallback is visible, never silent).
+  /// served: int8 plan units vs fp32 fallbacks of int8 requests (fallback
+  /// is visible, never silent).
   backend::Precision precision = backend::Precision::kFp32;
-  std::uint64_t window_bf16_units = 0, window_int8_units = 0;
+  std::uint64_t window_int8_units = 0;
   std::uint64_t window_precision_fallbacks = 0;
   /// Max |reduced-tier value - fp32 value| over one post-window probe
   /// request per hot patch (0 when cfg.precision is fp32).

@@ -1,11 +1,9 @@
-// Reduced-precision decode tiers (bf16 / int8 behind the prepacked-plan
-// seam): quantized prepack contents, plan-vs-fp32-tape parity within each
-// tier's documented bound across the shape grid, bitwise-identical replay
-// across thread counts per tier, forced-scalar vs SIMD kernel parity
-// (int8 bitwise, bf16 tolerance — the sse2 tier's unfused multiply-add
-// rounds differently than scalar fmaf), per-precision plan-cache entries +
-// hot-swap invalidation, fp32 fallback visibility for unplannable shapes,
-// and the reconstruction-MSE accuracy gate.
+// The int8 decode tier behind the prepacked-plan seam: quantized prepack
+// contents, plan-vs-fp32-tape parity within the tier's documented bound
+// across the shape grid, bitwise-identical replay across thread counts,
+// bitwise forced-scalar vs SIMD kernel parity, per-precision plan-cache
+// entries + hot-swap invalidation, fp32 fallback visibility for
+// unplannable shapes, and the reconstruction-MSE accuracy gate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,18 +83,12 @@ double max_abs_diff(const Tensor& a, const Tensor& b) {
   return m;
 }
 
-// Documented per-tier bounds on |planned - fp32 tape| for the
-// small_default decoder. bf16 weights carry <= 2^-9 relative rounding
-// each; int8 adds per-row activation quantization (<= 1/254 relative) and
-// per-column weight quantization. Both compound over 3 layers and scale
-// with the activation magnitude (encoder-produced latents run hotter than
-// unit randn — measured worst cases land near 0.07 / 0.1).
-constexpr double kBf16Bound = 0.1;
+// Documented int8 bound on |planned - fp32 tape| for the small_default
+// decoder: per-row activation quantization (<= 1/254 relative) plus
+// per-column weight quantization, compounded over 3 layers and scaled by
+// the activation magnitude (encoder-produced latents run hotter than unit
+// randn — measured worst cases land near 0.1).
 constexpr double kInt8Bound = 0.25;
-
-double tier_bound(backend::Precision p) {
-  return p == backend::Precision::kBf16 ? kBf16Bound : kInt8Bound;
-}
 
 // --------------------------------------------------- quantized prepacking
 
@@ -105,8 +97,6 @@ TEST(QuantizedPrepack, SnapshotCarriesAllTiers) {
   auto snap = core::PreparedSnapshot::prepare(*model, 1);
   ASSERT_TRUE(snap->plannable());
   for (const auto& layer : snap->layers()) {
-    EXPECT_EQ(layer.packed_bf16.size(), layer.packed.size())
-        << "bf16 panels share the fp32 panel geometry";
     EXPECT_FALSE(layer.packed_i8.empty());
     EXPECT_EQ(layer.w8.size(),
               static_cast<std::size_t>(layer.in * layer.out));
@@ -134,8 +124,7 @@ TEST(QuantizedPrepack, TooWideLayerDisablesEveryTier) {
   auto snap = core::PreparedSnapshot::prepare(model, 1);
   EXPECT_FALSE(snap->plannable());
   for (const backend::Precision prec :
-       {backend::Precision::kFp32, backend::Precision::kBf16,
-        backend::Precision::kInt8}) {
+       {backend::Precision::kFp32, backend::Precision::kInt8}) {
     EXPECT_EQ(core::DecodePlan::compile(
                   snap, core::PlanKey{1, 1, 16, kLT, kLZ, kLX, prec}),
               nullptr)
@@ -168,9 +157,9 @@ TEST_P(QuantizedParity, MatchesTapeWithinTierBoundAcrossShapes) {
                    << backend::precision_name(prec) << " n=" << n
                    << " q=" << q);
       const double err = max_abs_diff(got, want);
-      EXPECT_LT(err, tier_bound(prec));
+      EXPECT_LT(err, kInt8Bound);
       // A tier that silently fell back to fp32 would be bitwise equal;
-      // the reduced tiers must actually compute in reduced precision.
+      // the int8 tier must actually compute in reduced precision.
       EXPECT_GT(err, 0.0) << "reduced tier produced bitwise-fp32 output";
     }
   }
@@ -190,7 +179,7 @@ TEST_P(QuantizedParity, ReplayBitIdenticalAcrossThreadCounts) {
 
   // Serial side: inside a pool worker the nested parallel_for serializes
   // (computationally a 1-thread pool); parallel side fans out across the
-  // 4-thread pool. The reduced tiers pin the same bitwise thread-count
+  // 4-thread pool. The int8 tier pins the same bitwise thread-count
   // invariance as fp32 — only the tape comparison is tolerance-based.
   std::promise<Tensor> serial_out;
   std::future<Tensor> fut = serial_out.get_future();
@@ -228,7 +217,7 @@ TEST_P(QuantizedParity, DerivativeBundleFallsBackToFp32) {
 
 INSTANTIATE_TEST_SUITE_P(
     Tiers, QuantizedParity,
-    ::testing::Values(backend::Precision::kBf16, backend::Precision::kInt8),
+    ::testing::Values(backend::Precision::kInt8),
     [](const ::testing::TestParamInfo<backend::Precision>& info) {
       return std::string(backend::precision_name(info.param));
     });
@@ -284,45 +273,10 @@ TEST(QuantizedKernels, Int8ScalarOracleIsBitwiseIdenticalToSimd) {
   }
 }
 
-TEST(QuantizedKernels, Bf16ScalarVsSimdWithinTolerance) {
-  // The scalar bf16 path accumulates with fmaf; fused-FMA vector tiers
-  // match it bitwise, the sse2 tier's separate multiply+add rounds twice —
-  // so this parity is tolerance-pinned, not bitwise.
-  ScalarGuard guard;
-  Rng rng(411);
-  for (std::int64_t K : {19, 128, 384}) {
-    const std::int64_t M = 37, N = 32;
-    std::vector<float> A(static_cast<std::size_t>(M * K));
-    std::vector<float> B(static_cast<std::size_t>(N * K));
-    std::vector<float> bias(static_cast<std::size_t>(N));
-    for (auto& v : A) v = static_cast<float>(rng.normal());
-    for (auto& v : B) v = static_cast<float>(rng.normal()) * 0.3f;
-    for (auto& v : bias) v = static_cast<float>(rng.normal()) * 0.1f;
-
-    std::vector<std::uint16_t> Bp(
-        backend::sgemm_prepack_b_bf16_elems(K, N));
-    backend::sgemm_prepack_b_bf16(backend::Trans::kYes, K, N, B.data(),
-                                  Bp.data());
-    std::vector<float> c_simd(static_cast<std::size_t>(M * N));
-    std::vector<float> c_scalar(static_cast<std::size_t>(M * N));
-    simd::set_force_scalar(false);
-    backend::sgemm_bf16_prepacked_nt(M, N, K, A.data(), Bp.data(),
-                                     bias.data(), c_simd.data());
-    simd::set_force_scalar(true);
-    backend::sgemm_bf16_prepacked_nt(M, N, K, A.data(), Bp.data(),
-                                     bias.data(), c_scalar.data());
-    double m = 0.0;
-    for (std::size_t i = 0; i < c_simd.size(); ++i)
-      m = std::max(m, std::abs(static_cast<double>(c_simd[i]) -
-                               static_cast<double>(c_scalar[i])));
-    EXPECT_LT(m, 1e-3) << "K=" << K;
-  }
-}
-
 TEST(QuantizedKernels, ForcedScalarPlanReplayStaysInTierBound) {
-  // Whole-plan forced-scalar replay: every reduced-precision kernel (and
-  // the gather/blend around them) on its scalar path must still land
-  // inside the tier's tape bound.
+  // Whole-plan forced-scalar replay: every int8 kernel (and the
+  // gather/blend around them) on its scalar path must still land inside
+  // the tier's tape bound.
   ScalarGuard guard;
   auto model = make_model(421);
   auto snap = core::PreparedSnapshot::prepare(*model, 1);
@@ -330,17 +284,14 @@ TEST(QuantizedKernels, ForcedScalarPlanReplayStaysInTierBound) {
   const Tensor latent = make_latent(rng, 3, snap->latent_channels());
   const Tensor coords = make_coords(rng, 3, 300, /*flat=*/false);
   const Tensor want = tape_decode(*model, latent, coords);
-  for (const backend::Precision prec :
-       {backend::Precision::kBf16, backend::Precision::kInt8}) {
-    auto plan = core::DecodePlan::compile(
-        snap, core::PlanKey{1, 3, 300, kLT, kLZ, kLX, prec});
-    ASSERT_NE(plan, nullptr);
-    simd::set_force_scalar(true);
-    const Tensor got = plan->execute(latent, coords);
-    simd::set_force_scalar(guard.was);
-    EXPECT_LT(max_abs_diff(got, want), tier_bound(prec))
-        << backend::precision_name(prec);
-  }
+  auto plan = core::DecodePlan::compile(
+      snap,
+      core::PlanKey{1, 3, 300, kLT, kLZ, kLX, backend::Precision::kInt8});
+  ASSERT_NE(plan, nullptr);
+  simd::set_force_scalar(true);
+  const Tensor got = plan->execute(latent, coords);
+  simd::set_force_scalar(guard.was);
+  EXPECT_LT(max_abs_diff(got, want), kInt8Bound);
 }
 
 // -------------------------------------- per-precision plan-cache keying
@@ -351,17 +302,13 @@ TEST(QuantizedPlanCache, PrecisionIsPartOfThePlanKey) {
   core::PlanCache cache;
 
   auto p_fp32 = cache.get_or_compile(snap, 1, 64, kLT, kLZ, kLX);
-  auto p_bf16 = cache.get_or_compile(snap, 1, 64, kLT, kLZ, kLX,
-                                     backend::Precision::kBf16);
   auto p_int8 = cache.get_or_compile(snap, 1, 64, kLT, kLZ, kLX,
                                      backend::Precision::kInt8);
   ASSERT_NE(p_fp32, nullptr);
-  ASSERT_NE(p_bf16, nullptr);
   ASSERT_NE(p_int8, nullptr);
-  EXPECT_NE(p_fp32.get(), p_bf16.get());
-  EXPECT_NE(p_bf16.get(), p_int8.get());
-  EXPECT_EQ(cache.stats().entries, 3u);
-  EXPECT_EQ(cache.stats().compiles, 3u);
+  EXPECT_NE(p_fp32.get(), p_int8.get());
+  EXPECT_EQ(cache.stats().entries, 2u);
+  EXPECT_EQ(cache.stats().compiles, 2u);
 
   // Same (shape, precision) hits the same compiled object.
   EXPECT_EQ(cache
@@ -378,7 +325,7 @@ TEST(QuantizedPlanCache, HotSwapDropsStaleQuantizedPlans) {
   auto snap_v2 = core::PreparedSnapshot::prepare(*model, 2);
   core::PlanCache cache;
   ASSERT_NE(cache.get_or_compile(snap_v1, 1, 32, kLT, kLZ, kLX,
-                                 backend::Precision::kBf16),
+                                 backend::Precision::kFp32),
             nullptr);
   ASSERT_NE(cache.get_or_compile(snap_v1, 1, 32, kLT, kLZ, kLX,
                                  backend::Precision::kInt8),
@@ -424,22 +371,18 @@ TEST(QuantizedServe, EngineRoutesAndRecordsTheServedTier) {
                            static_cast<std::size_t>(want.numel()) *
                                sizeof(float)))
       << "int8-tier serve silently fell back to fp32";
-  // Per-request overrides: bf16 and explicit fp32 (bitwise vs tape).
-  const Tensor got_bf16 =
-      engine.query_sync(1, patch, coords, backend::Precision::kBf16);
-  EXPECT_LT(max_abs_diff(got_bf16, want), kBf16Bound);
+  // Per-request override: explicit fp32 (bitwise vs tape).
   const Tensor got_fp32 =
       engine.query_sync(1, patch, coords, backend::Precision::kFp32);
   expect_bitwise_equal(got_fp32, want, "fp32 override vs tape predict");
 
   const auto bs = engine.batcher_stats();
-  EXPECT_EQ(bs.planned_decodes, 3u);
+  EXPECT_EQ(bs.planned_decodes, 2u);
   EXPECT_EQ(bs.tape_decodes, 0u);
   EXPECT_EQ(bs.planned_int8, 1u);
-  EXPECT_EQ(bs.planned_bf16, 1u);
   EXPECT_EQ(bs.precision_fallbacks, 0u);
   // One plan per precision tier in the shared cache.
-  EXPECT_EQ(engine.plan_stats().entries, 3u);
+  EXPECT_EQ(engine.plan_stats().entries, 2u);
 }
 
 TEST(QuantizedServe, UnplannableShapeFallsBackVisiblyToFp32) {
@@ -496,17 +439,13 @@ TEST(QuantizedAccuracy, Int8DegradesReconstructionMseUnderOnePercent) {
   const double mse_fp32 = mse_vs(pred_fp32, targets);
   ASSERT_GT(mse_fp32, 0.0);
 
-  for (const backend::Precision prec :
-       {backend::Precision::kBf16, backend::Precision::kInt8}) {
-    auto plan = core::DecodePlan::compile(
-        snap, core::PlanKey{1, n, q, kLT, kLZ, kLX, prec});
-    ASSERT_NE(plan, nullptr);
-    const double mse = mse_vs(plan->execute(latent, coords), targets);
-    const double rel = std::abs(mse - mse_fp32) / mse_fp32;
-    EXPECT_LT(rel, 0.01) << backend::precision_name(prec)
-                         << " reconstruction MSE moved " << rel * 100.0
-                         << "% relative to fp32 (gate is < 1%)";
-  }
+  auto plan = core::DecodePlan::compile(
+      snap, core::PlanKey{1, n, q, kLT, kLZ, kLX, backend::Precision::kInt8});
+  ASSERT_NE(plan, nullptr);
+  const double mse = mse_vs(plan->execute(latent, coords), targets);
+  const double rel = std::abs(mse - mse_fp32) / mse_fp32;
+  EXPECT_LT(rel, 0.01) << "int8 reconstruction MSE moved " << rel * 100.0
+                       << "% relative to fp32 (gate is < 1%)";
 }
 
 }  // namespace

@@ -285,7 +285,10 @@ TEST_F(ServeRobust, BrownoutDegradesUnderBacklogAndRecoversWithHysteresis) {
   const Tensor want = engine.query_sync(1, patch, coords);
 
   // Build a real backlog: the worker sleeps 20 ms per decode while 12
-  // requests pile up, driving queued rows far over high_rows.
+  // requests pile up, driving queued rows far over high_rows. The level
+  // is sampled after every response: the last flushes of the backlog
+  // already see the queue near empty and may step the ladder back down.
+  int max_level = 0;
   {
     failpoint::ScopedFail slow("serve.slow_decode", sleep_ms(20.0));
     std::vector<std::future<Tensor>> futs;
@@ -296,13 +299,17 @@ TEST_F(ServeRobust, BrownoutDegradesUnderBacklogAndRecoversWithHysteresis) {
       Tensor out;
       ASSERT_NO_THROW(out = f.get());
       EXPECT_LT(max_abs_diff(out, want), 1.0);
+      max_level = std::max(max_level, engine.batcher_stats().brownout_level);
     }
   }
   auto bs = engine.batcher_stats();
   EXPECT_GE(bs.brownout_enters, 1u);
   EXPECT_GE(bs.degraded_requests, 1u);
   EXPECT_GE(bs.degraded_units, 1u);
-  EXPECT_GT(bs.brownout_level, 0);
+  EXPECT_EQ(max_level, 1) << "the ladder has a single rung";
+  // Every degraded unit ran the int8 plan; none fell back to the tape.
+  EXPECT_GE(bs.planned_int8, bs.degraded_units);
+  EXPECT_EQ(bs.precision_fallbacks, 0u);
 
   // Recovery: sequential traffic drains the queue to empty each flush;
   // with dwell_flushes=1 the ladder steps back down to fp32.
@@ -316,6 +323,50 @@ TEST_F(ServeRobust, BrownoutDegradesUnderBacklogAndRecoversWithHysteresis) {
 
   // Back at level 0, responses are exact fp32 again.
   EXPECT_LT(max_abs_diff(engine.query_sync(1, patch, coords), want), 2e-5);
+}
+
+// Regression: brownout used to lower every drained request's tier without
+// looking at its snapshot. A decoder too wide for the prepacked panels has
+// no plan at any tier, so the tape served those requests fp32 anyway — yet
+// each was counted as degraded, and each unit as a precision fallback the
+// client never asked for.
+TEST_F(ServeRobust, BrownoutLeavesUnplannableRequestsAtTheirTier) {
+  core::MFNConfig cfg = core::MFNConfig::small_default();
+  cfg.decoder.hidden = {400, 16};  // K = 400 > sgemm_prepacked_max_k()
+  Rng mrng(27);
+  auto model = std::make_unique<core::MeshfreeFlowNet>(cfg, mrng);
+  model->set_training(false);
+  serve::InferenceEngineConfig ecfg;
+  ecfg.batcher.workers = 1;
+  ecfg.batcher.max_wait_us = 0;
+  ecfg.batcher.max_batch_rows = 32;  // one request per flush
+  ecfg.batcher.brownout.enabled = true;
+  ecfg.batcher.brownout.high_rows = 64;
+  ecfg.batcher.brownout.low_rows = 32;
+  ecfg.batcher.brownout.dwell_flushes = 1;
+  serve::InferenceEngine engine(std::move(model), ecfg);
+  Rng rng(28);
+  const Tensor patch = make_patch(rng);
+  const Tensor coords = make_coords(rng, 32);
+  engine.prewarm(1, patch);
+  const Tensor want = engine.query_sync(1, patch, coords);
+
+  {
+    failpoint::ScopedFail slow("serve.slow_decode", sleep_ms(20.0));
+    std::vector<std::future<Tensor>> futs;
+    for (int i = 0; i < 12; ++i) futs.push_back(engine.query(1, patch, coords));
+    for (auto& f : futs) {
+      Tensor out;
+      ASSERT_NO_THROW(out = f.get());
+      EXPECT_LT(max_abs_diff(out, want), 2e-5);
+    }
+  }
+  const auto bs = engine.batcher_stats();
+  EXPECT_GE(bs.brownout_enters, 1u) << "backlog never tripped the brownout";
+  EXPECT_EQ(bs.planned_decodes, 0u);
+  EXPECT_EQ(bs.degraded_requests, 0u);
+  EXPECT_EQ(bs.degraded_units, 0u);
+  EXPECT_EQ(bs.precision_fallbacks, 0u);
 }
 
 // Regression: a brownout configured with ONLY the latency watermark

@@ -22,7 +22,7 @@
 //   mfn serve-bench [--model model.ckpt] [--clients 16] [--requests 64]
 //                [--queries 256] [--patches 8] [--cache-mb 64]
 //                [--max-batch 4096] [--max-wait-us 100] [--workers 1]
-//                [--seed 9] [--precision fp32|bf16|int8]
+//                [--seed 9] [--precision fp32|int8]
 //                [--open-loop 1 --arrival-rps 500 [--total-requests N]]
 //                [--deadline-ms 50] [--policy block|reject|shed-oldest]
 //                [--max-queue ROWS] [--brownout 1]
@@ -388,10 +388,9 @@ int cmd_serve_bench(const Args& args) {
 
   const std::string prec_str = args.str("precision", "fp32");
   backend::Precision precision = backend::Precision::kFp32;
-  if (prec_str == "bf16") precision = backend::Precision::kBf16;
-  else if (prec_str == "int8") precision = backend::Precision::kInt8;
+  if (prec_str == "int8") precision = backend::Precision::kInt8;
   else MFN_CHECK(prec_str == "fp32",
-                 "--precision must be fp32, bf16 or int8, got " << prec_str);
+                 "--precision must be fp32 or int8, got " << prec_str);
 
   serve::InferenceEngineConfig ecfg;
   const long cache_mb = args.integer("cache-mb", 64);
@@ -530,14 +529,12 @@ int cmd_serve_bench(const Args& args) {
       static_cast<unsigned long long>(r.window_plan_misses),
       static_cast<unsigned long long>(r.plans.compiles),
       static_cast<unsigned long long>(r.plans.entries));
-  // Which tier actually served the window's decode units — a reduced-tier
+  // Which tier actually served the window's decode units — an int8
   // request that fell back to fp32 shows up here, never silently.
   std::printf(
-      "precision: requested %s, served %llu bf16 / %llu int8 plan units, "
-      "%llu fp32 fallbacks of reduced-tier requests, max-abs-err vs fp32 "
-      "%.3g\n",
+      "precision: requested %s, served %llu int8 plan units, %llu fp32 "
+      "fallbacks of int8 requests, max-abs-err vs fp32 %.3g\n",
       backend::precision_name(r.precision),
-      static_cast<unsigned long long>(r.window_bf16_units),
       static_cast<unsigned long long>(r.window_int8_units),
       static_cast<unsigned long long>(r.window_precision_fallbacks),
       r.max_abs_err_vs_fp32);
